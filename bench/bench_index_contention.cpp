@@ -1,13 +1,11 @@
-// Mixed upload/query contention — the experiment the sharded index exists
-// for. A city-scale server's real workload is many paced queriers plus a
-// trickle of bulk ingest bursts (a provider flushing its queued backlog,
-// or a snapshot shard being applied); the failure mode of the single-lock
-// index is that every burst takes the writer lock once and stalls the
-// entire read side for the whole burst — milliseconds for a few thousand
-// segments. The sharded index confines a burst to the uploader's shard
-// and releases the shard lock every `insert_chunk` inserts, so the other
-// K-1 shards (and, via try-then-block scanning, most of every query)
-// keep flowing.
+// Mixed upload/query contention on the server's index
+// (index::ConcurrentFovIndex, the R-tree behind one reader/writer lock). A
+// city-scale server's real workload is many paced queriers plus a trickle
+// of bulk ingest bursts (a provider flushing its queued backlog, or a
+// snapshot being applied); the failure mode of the single lock is that
+// every burst takes the writer lock once and stalls the entire read side
+// for the whole burst — milliseconds for a few thousand segments. This
+// bench measures how far that shows in the read tail.
 //
 // Methodology (honest on a 1-core box):
 //   * Open-loop arrivals. Each reader thread follows a fixed schedule at
@@ -18,17 +16,15 @@
 //     `--burst` segments from one new provider, exactly what
 //     CloudServer::ingest does with a queued-upload flush.
 //   * Offered load is auto-calibrated to ~22% of one core from measured
-//     single-thread query/burst costs (max across backends), identical
-//     for both backends. Below saturation, throughput follows the offered
-//     rate and the signal lives in the latency tail; a saturating drive
-//     would just measure the scheduler. Small uploads (~100 segments,
-//     holds of a few hundred us) barely dent the single lock's read tail
-//     — the backends only separate once a burst hold is long against the
-//     query cost, which is exactly the guidance in docs/PERFORMANCE.md.
+//     single-thread query/burst costs. Below saturation, throughput
+//     follows the offered rate and the signal lives in the latency tail;
+//     a saturating drive would just measure the scheduler. Small uploads
+//     (~100 segments, holds of a few hundred us) barely dent the read
+//     tail — it fattens once a burst hold is long against the query cost.
 //
 // Flags: --seconds N (per cell, default 3), --json (machine-readable,
 // the generator for BENCH_contention.json), and workload knobs
-// --burst N --chunk N --util X --wutil X (defaults below).
+// --burst N --util X --wutil X (defaults below).
 
 #include <algorithm>
 #include <atomic>
@@ -41,7 +37,6 @@
 #include <vector>
 
 #include "index/fov_index.hpp"
-#include "index/sharded_fov_index.hpp"
 #include "sim/crowd.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -55,17 +50,14 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kCorpusProviders = 200;
 constexpr std::size_t kSegmentsPerProvider = 200;
 std::size_t g_burst_segments = 4096;
-std::size_t g_insert_chunk = 32;
-constexpr std::size_t kShards = 8;
 constexpr core::TimestampMs kT0 = 1'400'000'000'000;
 constexpr core::TimestampMs kDay = 24LL * 3600 * 1000;
 // Rate-setting budgets, as fractions of the one core. Queries are sized
 // to do real index work (tens of us) so the op rate stays in the low
 // thousands/s — above that, sleep_until wakeups and context switches
-// (~10 us each on this box) dominate the load and both backends just
-// measure the scheduler. Writers get a small slice: bursts should be
-// distinct events whose holds land in the read tail, not continuous
-// write pressure.
+// (~10 us each) dominate the load and the bench just measures the
+// scheduler. Writers get a small slice: bursts should be distinct events
+// whose holds land in the read tail, not continuous write pressure.
 double g_target_utilization = 0.22;
 double g_writer_utilization = 0.02;  // of the target, writers get this
 
@@ -284,8 +276,6 @@ void write_json(std::ostream& os, const std::vector<CellResult>& cells,
      << "  \"workload\": {\"corpus_segments\": "
      << kCorpusProviders * kSegmentsPerProvider
      << ", \"burst_segments\": " << g_burst_segments
-     << ", \"insert_chunk\": " << g_insert_chunk
-     << ", \"shards\": " << kShards
      << ", \"target_utilization\": " << g_target_utilization
      << ", \"writer_utilization\": " << g_writer_utilization << "},\n"
      << "  \"calibration\": {\"query_us\": " << cal.query_s * 1e6
@@ -322,9 +312,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--burst") == 0 && i + 1 < argc) {
       g_burst_segments = static_cast<std::size_t>(std::atoi(argv[i + 1]));
     }
-    if (std::strcmp(argv[i], "--chunk") == 0 && i + 1 < argc) {
-      g_insert_chunk = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    }
     if (std::strcmp(argv[i], "--util") == 0 && i + 1 < argc) {
       g_target_utilization = std::atof(argv[i + 1]);
     }
@@ -335,21 +322,14 @@ int main(int argc, char** argv) {
 
   const Workload wl = make_workload();
 
-  // Calibrate offered rates from single-thread costs, taking the max
-  // across backends so the SAME offered schedule keeps both below the
-  // utilization target — comparing latency tails is only meaningful when
-  // the offered load is identical and neither side is saturated.
+  // Calibrate offered rates from single-thread costs, so the offered
+  // schedule stays below the utilization target — a latency tail is only
+  // meaningful when the index is not saturated.
   Calibration cal;
   {
     index::ConcurrentFovIndex concurrent;
     for (const auto& u : wl.uploads) concurrent.insert_batch(u);
-    const auto c1 = calibrate(concurrent, wl);
-    index::ShardedFovIndex sharded(
-        {.shards = kShards, .insert_chunk = g_insert_chunk});
-    for (const auto& u : wl.uploads) sharded.insert_batch(u);
-    const auto c2 = calibrate(sharded, wl);
-    cal.query_s = std::max(c1.query_s, c2.query_s);
-    cal.burst_s = std::max(c1.burst_s, c2.burst_s);
+    cal = calibrate(concurrent, wl);
   }
 
   struct Cfg {
@@ -365,20 +345,10 @@ int main(int argc, char** argv) {
     const double per_reader_qps =
         (g_target_utilization - g_writer_utilization) /
         (cfg.readers * cal.query_s);
-    {
-      index::ConcurrentFovIndex idx;
-      for (const auto& u : wl.uploads) idx.insert_batch(u);
-      cells.push_back(run_cell(idx, wl, "concurrent", cfg.readers,
-                               cfg.writers, per_reader_qps, per_writer_bps,
-                               seconds));
-    }
-    {
-      index::ShardedFovIndex idx(
-          {.shards = kShards, .insert_chunk = g_insert_chunk});
-      for (const auto& u : wl.uploads) idx.insert_batch(u);
-      cells.push_back(run_cell(idx, wl, "sharded", cfg.readers, cfg.writers,
-                               per_reader_qps, per_writer_bps, seconds));
-    }
+    index::ConcurrentFovIndex idx;
+    for (const auto& u : wl.uploads) idx.insert_batch(u);
+    cells.push_back(run_cell(idx, wl, "concurrent", cfg.readers, cfg.writers,
+                             per_reader_qps, per_writer_bps, seconds));
   }
 
   if (json) {
@@ -406,12 +376,10 @@ int main(int argc, char** argv) {
                      util::Table::num(c.write_burst_us.p99, 1)});
     }
     table.print(std::cout);
-    std::cout << "\nReading: both backends see the same offered schedule. "
-                 "The single-lock backend serializes every query behind "
-                 "whole-burst writer holds, which shows up as a fat read "
-                 "p99; the sharded backend confines each burst to one "
-                 "shard and caps the hold length, so the read tail stays "
-                 "near the uncontended cost.\n";
+    std::cout << "\nReading: every cell sees the same offered load. The "
+                 "single lock serializes every query behind whole-burst "
+                 "writer holds, which shows up as a read p99 far above the "
+                 "uncontended query cost.\n";
   }
   return 0;
 }

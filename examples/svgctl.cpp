@@ -8,21 +8,9 @@
 //       print corpus statistics
 //   svgctl query --in corpus.svgx --lat 39.9042 --lng 116.4074
 //                --radius 50 --from 0 --to 9999999999999 [--top 10]
-//                [--backend single|sharded|tiered] [--shards K]
-//                [--memtable N]
-//       load the snapshot into a CloudServer, run one retrieval through the
-//       full instrumented stack, print results + per-stage timings + a
-//       process-metrics stats section. --backend sharded selects the
-//       K-way sharded index (K = --shards, 0/default = hardware
-//       concurrency); --backend tiered the memtable + STR-packed columnar
-//       runs backend (--memtable N = seal threshold); see
-//       docs/PERFORMANCE.md for when each wins.
-//   svgctl compact --in corpus.svgx [--backend tiered] [--memtable N]
-//                  [--full 0|1]
-//       load the corpus into the tiered backend, seal the memtable, and
-//       merge runs (--full 1, default, compacts to a single run; --full 0
-//       runs one size-tiered round). Prints the run structure — row count
-//       and [ts_min, ts_max] per run — before and after.
+//       load the snapshot into a CloudServer (the paper's R-tree index),
+//       run one retrieval through the full instrumented stack, print
+//       results + per-stage timings + a process-metrics stats section
 //   svgctl recover --data-dir d
 //       recover a durable data directory (checkpoint + WAL replay), print
 //       the recovery summary; --checkpoint 1 additionally takes a fresh
@@ -266,49 +254,6 @@ bool durability_from_flags(const std::map<std::string, std::string>& flags,
   return true;
 }
 
-/// Parse --backend (plus its per-backend flags --shards and --memtable)
-/// into `icfg`. On an unknown value, prints the full list of valid
-/// backends and returns false; every caller (query, chaos, compact) then
-/// exits 1 — the bad-usage code — so unknown-backend behaviour is
-/// identical across subcommands.
-bool parse_backend(const std::map<std::string, std::string>& flags,
-                   net::ServerIndexConfig& icfg,
-                   const std::string& fallback = "single") {
-  const auto backend = flag_str(flags, "backend", fallback);
-  if (backend == "single") {
-    icfg.backend = net::ServerIndexConfig::Backend::kConcurrent;
-  } else if (backend == "sharded") {
-    icfg.backend = net::ServerIndexConfig::Backend::kSharded;
-    icfg.shards = static_cast<std::size_t>(flag_num(flags, "shards", 0));
-  } else if (backend == "tiered") {
-    icfg.backend = net::ServerIndexConfig::Backend::kTiered;
-    icfg.memtable =
-        static_cast<std::size_t>(flag_num(flags, "memtable", 0));
-  } else {
-    std::cerr << "error: unknown --backend '" << backend
-              << "' (valid backends: single, sharded, tiered)\n";
-    return false;
-  }
-  return true;
-}
-
-/// Print a TieredStats structure snapshot (svgctl compact / query
-/// --backend tiered): per-run rows + time bounds plus the tier totals.
-void print_tiered_stats(const index::TieredStats& s, const std::string& when) {
-  std::cout << when << ": memtable " << s.memtable_rows << " rows, sealing "
-            << s.sealing_rows << " rows, " << s.runs.size() << " runs ("
-            << s.seals << " seals, " << s.compactions
-            << " compactions so far)\n";
-  if (s.runs.empty()) return;
-  util::Table table({"run", "rows", "ts_min_ms", "ts_max_ms"});
-  for (std::size_t i = 0; i < s.runs.size(); ++i) {
-    table.add_row({util::Table::num(i), util::Table::num(s.runs[i].rows),
-                   util::Table::num(s.runs[i].ts_min),
-                   util::Table::num(s.runs[i].ts_max)});
-  }
-  table.print(std::cout);
-}
-
 /// Build the overload-control config from --admit-rate/--admit-burst/
 /// --queue-depth/--deadline-ms (docs/ROBUSTNESS.md). --admit-rate <= 0
 /// (the default) leaves admission disabled — the server is byte-for-byte
@@ -359,11 +304,12 @@ void print_admission_stats(const net::AdmissionController& ac) {
 /// Construct a durable server, turning the recovery-failure exception into
 /// an error message + null (svgctl's runtime-failure path).
 std::unique_ptr<net::CloudServer> open_durable_server(
-    const net::ServerIndexConfig& icfg, const retrieval::RetrievalConfig& cfg,
+    const retrieval::RetrievalConfig& cfg,
     const net::ServerDurabilityConfig& dcfg,
     const net::AdmissionConfig& acfg = {}) {
   try {
-    return std::make_unique<net::CloudServer>(icfg, cfg, dcfg, acfg);
+    return std::make_unique<net::CloudServer>(index::FovIndexOptions{}, cfg,
+                                              dcfg, acfg);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return nullptr;
@@ -414,7 +360,7 @@ int cmd_generate(const std::map<std::string, std::string>& flags) {
   if (!dcfg.data_dir.empty()) {
     // Durable path: ingest every upload through a WAL-backed server so the
     // corpus survives in the data directory; --out becomes optional.
-    auto server = open_durable_server({}, {}, dcfg);
+    auto server = open_durable_server({}, dcfg);
     if (!server) return 2;
     for (const auto& u : uploads) server->ingest(u);
     server->sync_wal();
@@ -481,19 +427,16 @@ int cmd_query(const std::map<std::string, std::string>& flags) {
   cfg.orientation_slack_deg = flag_num(flags, "slack", 10.0);
   cfg.top_n = static_cast<std::size_t>(flag_num(flags, "top", 10));
 
-  net::ServerIndexConfig icfg;
-  if (!parse_backend(flags, icfg)) return 1;
-
   net::ServerDurabilityConfig dcfg;
   if (!durability_from_flags(flags, dcfg)) return 1;
 
   // Go through CloudServer so the run exercises the production path: the
-  // selected index backend (svg_index_*), the retrieval pipeline
+  // R-tree index (svg_index_*), the retrieval pipeline
   // (svg_retrieval_*), and the server boundary (svg_server_*). With
   // --data-dir, the corpus comes from crash recovery of that directory
   // instead of the --in snapshot; with --admit-rate, through admission
   // control.
-  auto server = open_durable_server(icfg, cfg, dcfg, admission_from_flags(flags));
+  auto server = open_durable_server(cfg, dcfg, admission_from_flags(flags));
   if (!server) return 2;
   if (server->durable()) {
     std::cout << server->recovery().summary() << "\n";
@@ -555,10 +498,6 @@ int cmd_query(const std::map<std::string, std::string>& flags) {
   }
   table.print(std::cout);
 
-  if (const auto tiered = server->tiered_run_stats()) {
-    print_tiered_stats(*tiered, "tiered index");
-  }
-
   if (const auto* ac = server->admission()) print_admission_stats(*ac);
 
   if (traced) {
@@ -598,7 +537,7 @@ int cmd_recover(const std::map<std::string, std::string>& flags) {
     std::cerr << "error: recover requires --data-dir\n";
     return 1;
   }
-  auto server = open_durable_server({}, {}, dcfg);
+  auto server = open_durable_server({}, dcfg);
   if (!server) {
     print_failure_context(std::cerr);
     return 2;
@@ -689,12 +628,6 @@ std::vector<std::uint8_t> canonical_index(net::CloudServer& server,
 }
 
 int cmd_chaos(const std::map<std::string, std::string>& flags) {
-  // The chaos server honours --backend (ground truth always runs on the
-  // default single backend, so a tiered/sharded chaos run doubles as a
-  // cross-backend convergence check). Same exit-1 on unknown values as
-  // query/compact.
-  net::ServerIndexConfig icfg;
-  if (!parse_backend(flags, icfg)) return 1;
   const auto seeds =
       static_cast<std::uint64_t>(flag_num(flags, "seeds", 20));
   net::FaultPlan base;
@@ -783,7 +716,7 @@ int cmd_chaos(const std::map<std::string, std::string>& flags) {
       acfg.per_client.burst = 4.0;
       acfg.clock = &clock;
     }
-    auto server_ptr = open_durable_server(icfg, {}, dcfg, acfg);
+    auto server_ptr = open_durable_server({}, dcfg, acfg);
     if (!server_ptr) {
       print_failure_context(std::cerr);
       return 2;
@@ -1237,49 +1170,6 @@ int cmd_scrub(const std::map<std::string, std::string>& flags) {
   return dump_metrics(flags);
 }
 
-int cmd_compact(const std::map<std::string, std::string>& flags) {
-  // Load a corpus (or recover a durable data dir) into a tiered-backend
-  // server, seal the memtable, and run compaction to completion — the
-  // operator's offline "pack this index" tool. Prints the run structure
-  // before and after so the merge is visible.
-  net::ServerIndexConfig icfg;
-  if (!parse_backend(flags, icfg, "tiered")) return 1;
-  if (icfg.backend != net::ServerIndexConfig::Backend::kTiered) {
-    std::cerr << "error: compact requires --backend tiered "
-                 "(valid backends: single, sharded, tiered; only tiered "
-                 "has runs to compact)\n";
-    return 1;
-  }
-  net::ServerDurabilityConfig dcfg;
-  if (!durability_from_flags(flags, dcfg)) return 1;
-
-  auto server = open_durable_server(icfg, {}, dcfg);
-  if (!server) return 2;
-  if (server->durable()) {
-    std::cout << server->recovery().summary() << "\n";
-  } else {
-    const auto in = flag_str(flags, "in", "corpus.svgx");
-    const auto loaded = server->load_snapshot(in);
-    if (!loaded) {
-      std::cerr << "error: cannot read " << in << "\n";
-      return 2;
-    }
-  }
-
-  print_tiered_stats(*server->tiered_run_stats(), "before");
-  (void)server->seal_index_now();
-  const bool full = flag_num(flags, "full", 1) != 0;
-  std::size_t merged_total = 0;
-  std::size_t merged;
-  while ((merged = server->compact_index_now(full)) > 0) {
-    merged_total += merged;
-    if (!full) break;  // one round in partial mode
-  }
-  std::cout << "compacted " << merged_total << " input runs\n";
-  print_tiered_stats(*server->tiered_run_stats(), "after");
-  return dump_metrics(flags);
-}
-
 int cmd_trace(const std::map<std::string, std::string>& flags) {
   const auto mode = flag_str(flags, "mode", "text");
   if (mode != "text" && mode != "chrome" && mode != "slow" &&
@@ -1291,7 +1181,7 @@ int cmd_trace(const std::map<std::string, std::string>& flags) {
 
   net::ServerDurabilityConfig dcfg;
   if (!durability_from_flags(flags, dcfg)) return 1;
-  auto server = open_durable_server({}, {}, dcfg);
+  auto server = open_durable_server({}, dcfg);
   if (!server) return 2;
   if (!server->durable()) {
     const auto in = flag_str(flags, "in", "corpus.svgx");
@@ -1360,9 +1250,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: svgctl "
                  "<generate|info|query|trace|recover|wal-dump|chaos|cluster|"
-                 "scrub|compact> [--flag value ...]\n"
-                 "  query/chaos take --backend single|sharded|tiered; "
-                 "compact takes --backend tiered\n";
+                 "scrub> [--flag value ...]\n";
     return 1;
   }
   const std::string cmd = argv[1];
@@ -1370,7 +1258,6 @@ int main(int argc, char** argv) {
   if (cmd == "generate") return cmd_generate(flags);
   if (cmd == "info") return cmd_info(flags);
   if (cmd == "query") return cmd_query(flags);
-  if (cmd == "compact") return cmd_compact(flags);
   if (cmd == "trace") return cmd_trace(flags);
   if (cmd == "recover") return cmd_recover(flags);
   if (cmd == "wal-dump") return cmd_wal_dump(flags);

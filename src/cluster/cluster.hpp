@@ -46,7 +46,7 @@ struct ClusterConfig {
     p.partitions = 0;
     return p;
   }
-  net::ServerIndexConfig index{};
+  index::FovIndexOptions index{};
   retrieval::RetrievalConfig retrieval{};
   /// Per-node admission control (net/admission.hpp). Every node gets the
   /// same config; admission.clock should be the cluster clock when set.

@@ -78,7 +78,7 @@ std::optional<QueryFanoutMessage> decode_query_fanout(
   if (!epoch || !t0 || !dt) return std::nullopt;
   m.epoch = *epoch;
   m.t_start = static_cast<core::TimestampMs>(*t0);
-  m.t_end = static_cast<core::TimestampMs>(*t0 + *dt);
+  if (__builtin_add_overflow(*t0, *dt, &m.t_end)) return std::nullopt;
   const auto lat = get_double(r);
   const auto lng = get_double(r);
   const auto radius = get_double(r);

@@ -20,10 +20,10 @@
 // indexed set; disable the background compactor (compact_interval_ms = 0)
 // where boundary determinism matters and drive compact_now() manually.
 //
-// Satisfies the backend concept RetrievalEngine and CloudServer template
-// over: insert / insert_batch / erase / size / snapshot /
-// query(GeoTimeRange, visitor). Feeds the aggregated svg_index_* family
-// plus svg_index_run_* (seal/run lifecycle) and svg_index_compaction_*.
+// Satisfies the index concept RetrievalEngine templates over: insert /
+// insert_batch / erase / size / snapshot / query(GeoTimeRange, visitor).
+// Feeds the aggregated svg_index_* family plus svg_index_run_* (seal/run
+// lifecycle) and svg_index_compaction_*.
 //
 // Concurrency: one shared_mutex guards the mutable state (memtable, run
 // list, tombstone bitmap). Writers hold it exclusively only for the O(1)
@@ -60,7 +60,6 @@ struct TieredFovIndexOptions {
   /// whenever at least that many exist (clamped to >= 2).
   std::size_t compact_fanin = 4;
   /// Background compactor period; 0 = no thread, compact_now() only.
-  /// CloudServer defaults this to the Checkpointer's cadence.
   std::uint32_t compact_interval_ms = 0;
   /// R-tree packing (node capacity = columnar block size) and the
   /// time-axis scaling shared with every other backend.

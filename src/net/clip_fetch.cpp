@@ -50,7 +50,10 @@ std::optional<ClipRequest> decode_clip_request(
   ClipRequest m;
   m.video_id = *vid;
   m.t_start = *ts;
-  m.t_end = *ts + static_cast<std::int64_t>(*dur);
+  if (__builtin_add_overflow(*ts, static_cast<std::int64_t>(*dur),
+                             &m.t_end)) {
+    return std::nullopt;
+  }
   return m;
 }
 
@@ -91,7 +94,10 @@ std::optional<ClipResponse> decode_clip_response(
   }
   m.clip.video_id = *vid;
   m.clip.t_start = *ts;
-  m.clip.t_end = *ts + static_cast<std::int64_t>(*dur);
+  if (__builtin_add_overflow(*ts, static_cast<std::int64_t>(*dur),
+                             &m.clip.t_end)) {
+    return std::nullopt;
+  }
   m.clip.payload.resize(*len);
   for (auto& b : m.clip.payload) {
     b = *r.get_u8();  // remaining() checked above

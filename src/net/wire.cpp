@@ -55,14 +55,18 @@ bool get_segment_records(ByteReader& r, std::uint64_t count,
     core::RepresentativeFov rep;
     rep.video_id = video_id;
     rep.segment_id = static_cast<std::uint32_t>(*seg_id);
-    prev_lat += *dlat;
-    prev_lng += *dlng;
+    // Untrusted deltas: a sum that leaves int64 rejects the message.
+    if (__builtin_add_overflow(prev_lat, *dlat, &prev_lat) ||
+        __builtin_add_overflow(prev_lng, *dlng, &prev_lng) ||
+        __builtin_add_overflow(prev_t, *dt, &prev_t) ||
+        __builtin_add_overflow(prev_t, static_cast<std::int64_t>(*dur),
+                               &rep.t_end)) {
+      return false;
+    }
     rep.fov.p.lat = dequantize_deg(prev_lat);
     rep.fov.p.lng = dequantize_deg(prev_lng);
     rep.fov.theta_deg = static_cast<double>(*theta) / kThetaScale;
-    prev_t += *dt;
     rep.t_start = prev_t;
-    rep.t_end = prev_t + static_cast<std::int64_t>(*dur);
     out.push_back(rep);
   }
   return true;
@@ -252,7 +256,10 @@ std::optional<QueryMessage> decode_query(std::span<const std::uint8_t> bytes) {
   if (!ts || !dur || !lat || !lng || !radius || !top_n) return std::nullopt;
   QueryMessage m;
   m.t_start = *ts;
-  m.t_end = *ts + static_cast<std::int64_t>(*dur);
+  if (__builtin_add_overflow(*ts, static_cast<std::int64_t>(*dur),
+                             &m.t_end)) {
+    return std::nullopt;
+  }
   m.center.lat = dequantize_deg(*lat);
   m.center.lng = dequantize_deg(*lng);
   m.radius_m = static_cast<double>(*radius);
@@ -296,7 +303,10 @@ std::optional<ResultsMessage> decode_results(
     e.video_id = *vid;
     e.segment_id = static_cast<std::uint32_t>(*sid);
     e.t_start = *ts;
-    e.t_end = *ts + static_cast<std::int64_t>(*dur);
+    if (__builtin_add_overflow(*ts, static_cast<std::int64_t>(*dur),
+                               &e.t_end)) {
+      return std::nullopt;
+    }
     e.distance_m = static_cast<float>(static_cast<double>(*dist) / 10.0);
     m.entries.push_back(e);
   }

@@ -1,10 +1,5 @@
 #include "obs/families.hpp"
 
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
 namespace svg::obs {
 
 namespace {
@@ -58,28 +53,6 @@ IndexMetrics& index_metrics() {
                          "Range-query latency incl. reader-lock wait"),
   };
   return m;
-}
-
-IndexShardMetrics& index_shard_metrics(std::size_t shard) {
-  // Shards are created at index construction, so registration is cold;
-  // a mutex-guarded grow-only list keeps the returned references stable.
-  static std::mutex mu;
-  static std::vector<std::unique_ptr<IndexShardMetrics>> slices;
-  std::lock_guard lock(mu);
-  while (slices.size() <= shard) {
-    const auto i = std::to_string(slices.size());
-    slices.push_back(std::make_unique<IndexShardMetrics>(IndexShardMetrics{
-        global().counter("svg_index_shard" + i + "_inserts_total",
-                         "ShardedFovIndex insertions into shard " + i),
-        global().counter("svg_index_shard" + i + "_erases_total",
-                         "ShardedFovIndex erasures from shard " + i),
-        global().counter("svg_index_shard" + i + "_queries_total",
-                         "ShardedFovIndex range queries touching shard " + i),
-        global().gauge("svg_index_shard" + i + "_size",
-                       "Live segments in shard " + i),
-    }));
-  }
-  return *slices[shard];
 }
 
 IndexRunMetrics& index_run_metrics() {

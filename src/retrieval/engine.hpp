@@ -153,7 +153,7 @@ class RetrievalEngine {
 
     // Stage 3 — extract the heap, best first (deterministic distance
     // ranking with (video_id, segment_id) tie-break, so the result is
-    // identical across index backends and shard layouts).
+    // identical across index backends and cluster layouts).
     std::vector<RankedResult> hits = top.take_sorted();
     const std::uint64_t t3 = timed ? obs::now_ns() : 0;
 

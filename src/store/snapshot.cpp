@@ -65,14 +65,18 @@ bool get_rep_records(util::ByteReader& r, std::uint64_t count,
     core::RepresentativeFov rep;
     rep.video_id = *vid;
     rep.segment_id = static_cast<std::uint32_t>(*sid);
-    prev_lat += *dlat;
-    prev_lng += *dlng;
+    // Untrusted deltas: a sum that leaves int64 rejects the snapshot.
+    if (__builtin_add_overflow(prev_lat, *dlat, &prev_lat) ||
+        __builtin_add_overflow(prev_lng, *dlng, &prev_lng) ||
+        __builtin_add_overflow(prev_t, *dt, &prev_t) ||
+        __builtin_add_overflow(prev_t, static_cast<std::int64_t>(*dur),
+                               &rep.t_end)) {
+      return false;
+    }
     rep.fov.p.lat = static_cast<double>(prev_lat) / kDegScale;
     rep.fov.p.lng = static_cast<double>(prev_lng) / kDegScale;
     rep.fov.theta_deg = static_cast<double>(*theta) / kThetaScale;
-    prev_t += *dt;
     rep.t_start = prev_t;
-    rep.t_end = prev_t + static_cast<std::int64_t>(*dur);
     out.push_back(rep);
   }
   return true;

@@ -6,17 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/wire.hpp"
 #include "net/server.hpp"
 #include "net/upload_queue.hpp"
 #include "net/wire.hpp"
 #include "obs/families.hpp"
 #include "retrieval/top_n.hpp"
 #include "sim/crowd.hpp"
+#include "store/crc32c.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -231,6 +236,30 @@ TEST(ClusterQueryTest, MergeRespectsTheKCut) {
       std::span<const std::vector<retrieval::RankedResult>>(lists), 100,
       retrieval::RankedBefore{});
   EXPECT_EQ(all.size(), 6u);
+}
+
+TEST(ClusterQueryTest, FanoutDecoderRejectsTimeWindowOverflow) {
+  // The window travels as (t_start, t_end - t_start) svarints; a crafted
+  // leg whose sum leaves int64 must be refused, not decoded through
+  // signed overflow. Hand-built because no valid query encodes to it.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const auto fanout = [](std::int64_t t0, std::int64_t dt) {
+    util::ByteWriter w;
+    w.put_u8(kMsgQueryFanout);
+    w.put_varint(1);  // epoch
+    w.put_svarint(t0);
+    w.put_svarint(dt);
+    for (int i = 0; i < 3; ++i) w.put_u64(0);  // lat, lng, radius doubles
+    w.put_varint(10);                         // top_n
+    w.put_u32(store::crc32c(w.bytes()));
+    return w.take();
+  };
+  EXPECT_FALSE(decode_query_fanout(fanout(kMax, 1)).has_value());
+  EXPECT_FALSE(decode_query_fanout(fanout(kMin, -1)).has_value());
+  const auto edge = decode_query_fanout(fanout(kMax - 1, 1));
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->t_end, kMax);
 }
 
 }  // namespace

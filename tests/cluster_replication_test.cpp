@@ -71,7 +71,7 @@ std::unique_ptr<net::CloudServer> make_durable(const std::string& dir) {
   net::ServerDurabilityConfig d;
   d.data_dir = dir;
   d.fsync = store::FsyncPolicy::kNone;
-  return std::make_unique<net::CloudServer>(net::ServerIndexConfig{},
+  return std::make_unique<net::CloudServer>(index::FovIndexOptions{},
                                             retrieval::RetrievalConfig{}, d);
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "index/fov_index.hpp"
 #include "store/crc32c.hpp"
@@ -182,6 +183,49 @@ TEST(SnapshotCodecTest, AbsurdUploadIdCountRejectedBeforeAllocation) {
   w.put_varint(1);            // ...one byte of them present
   w.put_u32(svg::store::crc32c(w.bytes()));
   EXPECT_FALSE(svg::store::decode_snapshot_full(w.take()).has_value());
+}
+
+TEST(SnapshotCodecTest, RejectsDeltaSumsThatOverflow) {
+  // Two hand-built records whose second deltas push one running sum past
+  // int64 — a crafted file (the crc only proves the bytes are the ones
+  // written) must be refused, not decoded through signed overflow.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const auto snapshot = [&](std::uint16_t version, std::int64_t dlat,
+                            std::int64_t dlng, std::int64_t dt,
+                            std::uint64_t dur) {
+    svg::util::ByteWriter w;
+    const std::uint8_t magic[4] = {'S', 'V', 'G', 'X'};
+    w.put_bytes(magic);
+    w.put_u16(version);
+    if (version >= 2) w.put_u64(0);
+    w.put_varint(2);
+    for (int i = 0; i < 2; ++i) {
+      w.put_varint(1);  // video id
+      w.put_varint(static_cast<std::uint64_t>(i));
+      w.put_svarint(i == 0 ? kMax : dlat);
+      w.put_svarint(i == 0 ? kMin : dlng);
+      w.put_u16(0);
+      w.put_svarint(i == 0 ? kMax - 10 : dt);
+      w.put_varint(i == 0 ? 0 : dur);
+    }
+    if (version >= 3) w.put_varint(0);  // no upload ids
+    if (version >= 2) w.put_u32(svg::store::crc32c(w.bytes()));
+    return w.take();
+  };
+  for (const std::uint16_t v : {1, 3}) {
+    EXPECT_FALSE(decode_snapshot_full(snapshot(v, 1, 0, 0, 0)).has_value())
+        << v;
+    EXPECT_FALSE(decode_snapshot_full(snapshot(v, 0, -1, 0, 0)).has_value())
+        << v;
+    EXPECT_FALSE(decode_snapshot_full(snapshot(v, 0, 0, 11, 0)).has_value())
+        << v;
+    EXPECT_FALSE(decode_snapshot_full(snapshot(v, 0, 0, 0, 11)).has_value())
+        << v;
+    const auto edge = decode_snapshot_full(snapshot(v, 0, 0, 5, 5));
+    ASSERT_TRUE(edge.has_value()) << v;
+    EXPECT_EQ(edge->reps[1].t_end, kMax) << v;
+  }
 }
 
 // --- version compat matrix under injected I/O faults -------------------------

@@ -1,27 +1,38 @@
-// Restart tests for the tiered backend: WAL replay must rebuild not just
-// the same indexed set but the SAME runs. Sealing is purely size-triggered
-// (no wall clock), so replaying the upload stream in order reproduces every
-// run boundary — rows, ts_min, ts_max — exactly. Compaction timing is the
-// one nondeterministic input, so these servers run with compaction off
-// (compact_interval_ms = 0 and no checkpointer cadence to inherit).
+// Restart test for the tiered index: replaying a server's WAL must rebuild
+// not just the same indexed set but the SAME runs. Sealing is purely
+// size-triggered (no wall clock), so replaying the upload stream in order
+// reproduces every run boundary — rows, ts_min, ts_max — exactly, even
+// though replay hands the index one batch per WAL record rather than the
+// original upload batches. Compaction timing is the one nondeterministic
+// input, so the tiered indexes here run with compaction off
+// (compact_interval_ms = 0).
+//
+// The server serves from the R-tree; the tiered index is fed the server's
+// upload stream live and rebuilt from its log through the same
+// store::recover_and_open path the server restarts through.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "index/tiered_fov_index.hpp"
 #include "net/server.hpp"
 #include "sim/crowd.hpp"
+#include "store/recovery.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace svg::net;
 using svg::core::RepresentativeFov;
+using svg::index::TieredFovIndex;
+using svg::index::TieredStats;
 
 struct ScopedDir {
   explicit ScopedDir(const std::string& tag) {
@@ -35,13 +46,6 @@ struct ScopedDir {
   std::string path;
 };
 
-ServerIndexConfig tiered_config(std::size_t memtable) {
-  ServerIndexConfig icfg;
-  icfg.backend = ServerIndexConfig::Backend::kTiered;
-  icfg.memtable = memtable;
-  return icfg;
-}
-
 std::vector<RepresentativeFov> sample_reps(std::size_t n, std::uint64_t seed) {
   svg::sim::CityModel city;
   // Dense enough that some cameras stand within radius-of-view of the
@@ -53,7 +57,9 @@ std::vector<RepresentativeFov> sample_reps(std::size_t n, std::uint64_t seed) {
                                               86'400'000, rng);
 }
 
-void ingest_in_batches(CloudServer& server,
+// Uploads `reps` to the server in `batch`-row messages and feeds the same
+// batches to `live`, as a tiered-backed server would index them.
+void ingest_in_batches(CloudServer& server, TieredFovIndex& live,
                        const std::vector<RepresentativeFov>& reps,
                        std::size_t batch) {
   for (std::size_t i = 0; i < reps.size(); i += batch) {
@@ -62,7 +68,8 @@ void ingest_in_batches(CloudServer& server,
     const auto end = std::min(i + batch, reps.size());
     msg.segments.assign(reps.begin() + static_cast<std::ptrdiff_t>(i),
                         reps.begin() + static_cast<std::ptrdiff_t>(end));
-    server.ingest(msg);
+    ASSERT_EQ(server.ingest_status(msg), IngestStatus::kAccepted);
+    live.insert_batch(std::span<const RepresentativeFov>(msg.segments));
   }
 }
 
@@ -76,7 +83,7 @@ svg::retrieval::Query wide_query() {
 }
 
 // Canonical view of a result set: sorted (video_id, segment_id) pairs, so
-// equality is insensitive to backend-internal visit order.
+// equality is insensitive to index-internal visit order.
 std::vector<std::pair<std::uint64_t, std::uint32_t>> canonical_hits(
     const CloudServer& server, const svg::retrieval::Query& q) {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
@@ -91,92 +98,63 @@ TEST(TieredRestartTest, WalReplayRebuildsIdenticalRuns) {
   ScopedDir dir("wal");
   const auto reps = sample_reps(500, 21);
   const auto q = wide_query();
+  // Small memtable → many sealed runs from 500 rows.
+  const svg::index::TieredFovIndexOptions tiered_opts{.memtable_capacity =
+                                                          64};
 
-  svg::index::TieredStats before{};
+  TieredStats before{};
   std::vector<std::pair<std::uint64_t, std::uint32_t>> hits_before;
   {
     ServerDurabilityConfig dcfg;
     dcfg.data_dir = dir.path;
-    // Small memtable → many sealed runs from 500 rows.
-    CloudServer server(tiered_config(64), {}, dcfg);
-    ASSERT_EQ(server.backend(), ServerIndexConfig::Backend::kTiered);
-    ingest_in_batches(server, reps, 23);  // batch != memtable: straddling seals
-    const auto stats = server.tiered_run_stats();
-    ASSERT_TRUE(stats.has_value());
-    before = *stats;
+    CloudServer server({}, {}, dcfg);
+    TieredFovIndex live(tiered_opts);
+    // batch != memtable: uploads straddle seals.
+    ASSERT_NO_FATAL_FAILURE(ingest_in_batches(server, live, reps, 23));
+    before = live.run_stats();
     ASSERT_GT(before.runs.size(), 2u);  // the test is vacuous otherwise
     ASSERT_GT(before.memtable_rows, 0u);
     hits_before = canonical_hits(server, q);
     ASSERT_FALSE(hits_before.empty());
     server.sync_wal();
-  }  // no checkpoint: reopen replays the WAL from scratch
+  }  // no checkpoint: every restart below replays the WAL from scratch
+
+  {
+    TieredFovIndex replayed(tiered_opts);
+    svg::store::WalOptions wopts;
+    wopts.dir = dir.path;
+    auto opened = svg::store::recover_and_open(
+        wopts, [&](std::span<const RepresentativeFov> batch) {
+          replayed.insert_batch(batch);
+        });
+    ASSERT_TRUE(opened.result.ok) << opened.result.error;
+    EXPECT_EQ(opened.result.snapshot_seq, 0u);
+    EXPECT_GT(opened.result.wal_records_replayed, 0u);
+    EXPECT_EQ(replayed.size(), reps.size());
+
+    // Size-triggered sealing is deterministic: replay reproduces every run
+    // boundary and its time tags, not merely the same row multiset.
+    const auto stats = replayed.run_stats();
+    ASSERT_EQ(stats.runs.size(), before.runs.size());
+    for (std::size_t i = 0; i < before.runs.size(); ++i) {
+      EXPECT_EQ(stats.runs[i].rows, before.runs[i].rows) << "run " << i;
+      EXPECT_EQ(stats.runs[i].ts_min, before.runs[i].ts_min) << "run " << i;
+      EXPECT_EQ(stats.runs[i].ts_max, before.runs[i].ts_max) << "run " << i;
+    }
+    EXPECT_EQ(stats.memtable_rows, before.memtable_rows);
+    EXPECT_EQ(stats.seals, before.seals);
+    replayed.check_invariants();
+  }  // closes the reopened WAL before the server takes the directory
+
   {
     ServerDurabilityConfig dcfg;
     dcfg.data_dir = dir.path;
-    CloudServer server(tiered_config(64), {}, dcfg);
+    CloudServer server({}, {}, dcfg);
     EXPECT_TRUE(server.recovery().ok);
     EXPECT_GT(server.recovery().wal_records_replayed, 0u);
     EXPECT_EQ(server.indexed_segments(), reps.size());
-
-    const auto stats = server.tiered_run_stats();
-    ASSERT_TRUE(stats.has_value());
-    // Size-triggered sealing is deterministic: replay reproduces every run
-    // boundary and its time tags, not merely the same row multiset.
-    ASSERT_EQ(stats->runs.size(), before.runs.size());
-    for (std::size_t i = 0; i < before.runs.size(); ++i) {
-      EXPECT_EQ(stats->runs[i].rows, before.runs[i].rows) << "run " << i;
-      EXPECT_EQ(stats->runs[i].ts_min, before.runs[i].ts_min) << "run " << i;
-      EXPECT_EQ(stats->runs[i].ts_max, before.runs[i].ts_max) << "run " << i;
-    }
-    EXPECT_EQ(stats->memtable_rows, before.memtable_rows);
     EXPECT_EQ(canonical_hits(server, q), hits_before);
   }
-}
-
-TEST(TieredRestartTest, CheckpointRestartPreservesTheIndexedSet) {
-  ScopedDir dir("checkpoint");
-  const auto reps = sample_reps(400, 33);
-  const auto q = wide_query();
-
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> hits_before;
-  {
-    ServerDurabilityConfig dcfg;
-    dcfg.data_dir = dir.path;
-    CloudServer server(tiered_config(64), {}, dcfg);
-    ingest_in_batches(server, reps, 25);
-    hits_before = canonical_hits(server, q);
-    ASSERT_FALSE(hits_before.empty());
-    ASSERT_TRUE(server.checkpoint_now());
-  }
-  // Restart restores from the snapshot (zero WAL records to replay); the
-  // indexed set — and therefore every query answer — is unchanged even
-  // though run boundaries may legitimately differ from the live ordering.
-  {
-    ServerDurabilityConfig dcfg;
-    dcfg.data_dir = dir.path;
-    CloudServer server(tiered_config(64), {}, dcfg);
-    EXPECT_TRUE(server.recovery().ok);
-    EXPECT_EQ(server.recovery().wal_records_replayed, 0u);
-    EXPECT_EQ(server.indexed_segments(), reps.size());
-    EXPECT_EQ(canonical_hits(server, q), hits_before);
-
-    // Maintenance entry points still work on the recovered index, and a
-    // full merge leaves answers untouched.
-    EXPECT_TRUE(server.seal_index_now() || true);  // memtable may be empty
-    while (server.compact_index_now(/*full=*/true) > 0) {
-    }
-    const auto stats = server.tiered_run_stats();
-    ASSERT_TRUE(stats.has_value());
-    EXPECT_LE(stats->runs.size(), 1u);
-    EXPECT_EQ(canonical_hits(server, q), hits_before);
-  }
-}
-
-TEST(TieredRestartTest, NonTieredServersReportNoRunStats) {
-  CloudServer single;
-  EXPECT_FALSE(single.tiered_run_stats().has_value());
-  EXPECT_FALSE(single.seal_index_now());
-  EXPECT_EQ(single.compact_index_now(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "net/clip_fetch.hpp"
 #include "net/server.hpp"
 #include "net/snapshot.hpp"
@@ -105,6 +108,109 @@ TEST(WireFuzzTest, ClipResponseLengthFieldCannotOverallocate) {
   w.put_u8(0);                       // ...but only one byte follows
   const auto out = decode_clip_response(w.bytes());
   EXPECT_FALSE(out.has_value());
+}
+
+// Decoders add untrusted varints in int64: a sum that leaves the range
+// must reject the message instead of overflowing (signed overflow is UB,
+// and a wrapped time window would reach the index inverted).
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+
+std::vector<std::uint8_t> query_bytes(std::int64_t t_start,
+                                      std::uint64_t dur) {
+  ByteWriter w;
+  w.put_u8(kMsgQuery);
+  w.put_svarint(t_start);
+  w.put_varint(dur);
+  w.put_svarint(399'042'000);   // lat, 1e-7 degrees
+  w.put_svarint(1'164'074'000);  // lng
+  w.put_varint(50);             // radius_m
+  w.put_varint(10);             // top_n
+  return w.take();
+}
+
+TEST(WireFuzzTest, QueryDecoderRejectsTimeWindowOverflow) {
+  EXPECT_FALSE(decode_query(query_bytes(kMax, 1)).has_value());
+  // A duration above INT64_MAX reads as negative; adding it to a negative
+  // start leaves the range below.
+  EXPECT_FALSE(decode_query(query_bytes(-1, 1ULL << 63)).has_value());
+  // The last representable window still decodes, exactly.
+  const auto edge = decode_query(query_bytes(kMax - 1, 1));
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->t_start, kMax - 1);
+  EXPECT_EQ(edge->t_end, kMax);
+}
+
+/// A legacy v1 upload (no crc — phone bytes reach the delta decode as-is)
+/// of two segments; `second` holds the second record's deltas, the first
+/// record places the segment at the int64 extreme of every field.
+std::vector<std::uint8_t> v1_upload_bytes(std::int64_t dlat,
+                                          std::int64_t dlng,
+                                          std::int64_t dt,
+                                          std::uint64_t dur) {
+  ByteWriter w;
+  w.put_u8(kMsgUpload);
+  w.put_varint(7);  // video id
+  w.put_varint(2);  // segments
+  w.put_varint(0);
+  w.put_svarint(kMax);  // lat
+  w.put_svarint(kMin);  // lng
+  w.put_u16(0);
+  w.put_svarint(kMax - 10);  // t_start
+  w.put_varint(0);
+  w.put_varint(1);
+  w.put_svarint(dlat);
+  w.put_svarint(dlng);
+  w.put_u16(0);
+  w.put_svarint(dt);
+  w.put_varint(dur);
+  return w.take();
+}
+
+TEST(WireFuzzTest, UploadDecoderRejectsDeltaOverflow) {
+  EXPECT_FALSE(decode_upload(v1_upload_bytes(1, 0, 0, 0)).has_value());
+  EXPECT_FALSE(decode_upload(v1_upload_bytes(0, -1, 0, 0)).has_value());
+  EXPECT_FALSE(decode_upload(v1_upload_bytes(0, 0, 11, 0)).has_value());
+  EXPECT_FALSE(decode_upload(v1_upload_bytes(0, 0, 0, 11)).has_value());
+  // Every sum landing exactly on the boundary is still a valid message.
+  const auto edge = decode_upload(v1_upload_bytes(0, 0, 5, 5));
+  ASSERT_TRUE(edge.has_value());
+  ASSERT_EQ(edge->segments.size(), 2u);
+  EXPECT_EQ(edge->segments[1].t_start, kMax - 5);
+  EXPECT_EQ(edge->segments[1].t_end, kMax);
+}
+
+TEST(WireFuzzTest, ResultsAndClipDecodersRejectTimeOverflow) {
+  const auto results = [](std::int64_t ts, std::uint64_t dur) {
+    ByteWriter w;
+    w.put_u8(kMsgResults);
+    w.put_varint(1);
+    w.put_varint(3);  // video id
+    w.put_varint(4);  // segment id
+    w.put_svarint(ts);
+    w.put_varint(dur);
+    w.put_varint(120);  // distance, 0.1 m
+    return w.take();
+  };
+  EXPECT_FALSE(decode_results(results(kMax, 1)).has_value());
+  ASSERT_TRUE(decode_results(results(kMax - 1, 1)).has_value());
+  EXPECT_EQ(decode_results(results(kMax - 1, 1))->entries[0].t_end, kMax);
+
+  ByteWriter req;
+  req.put_u8(kMsgClipRequest);
+  req.put_varint(3);
+  req.put_svarint(kMax);
+  req.put_varint(1);
+  EXPECT_FALSE(decode_clip_request(req.bytes()).has_value());
+
+  ByteWriter resp;
+  resp.put_u8(kMsgClipResponse);
+  resp.put_u8(1);  // found
+  resp.put_varint(3);
+  resp.put_svarint(kMax);
+  resp.put_varint(1);
+  resp.put_varint(0);  // empty payload
+  EXPECT_FALSE(decode_clip_response(resp.bytes()).has_value());
 }
 
 std::vector<std::uint8_t> valid_upload_v2_bytes(std::uint64_t seed,

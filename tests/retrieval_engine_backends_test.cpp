@@ -7,7 +7,6 @@
 #include "index/fov_index.hpp"
 #include "index/grid_index.hpp"
 #include "index/kdtree_index.hpp"
-#include "index/sharded_fov_index.hpp"
 #include "retrieval/engine.hpp"
 #include "sim/crowd.hpp"
 #include "util/rng.hpp"
@@ -99,21 +98,6 @@ TEST_F(EngineBackendsTest, ConcurrentWrapperMatchesPlainIndex) {
   retrieval::RetrievalEngine<index::ConcurrentFovIndex> wrapped(concurrent,
                                                                 cfg_);
   util::Xoshiro256 rng(11);
-  for (int i = 0; i < 15; ++i) {
-    const auto q = random_query(rng);
-    ASSERT_EQ(keys(plain.search(q)), keys(wrapped.search(q))) << i;
-  }
-}
-
-// The sharded index visits candidates in a backend-specific order; the
-// engine's deterministic (distance, video, segment) ranking must erase
-// that difference — including the exact order of the returned top-N.
-TEST_F(EngineBackendsTest, ShardedIndexMatchesPlainIndex) {
-  index::ShardedFovIndex sharded({.shards = 6});
-  sharded.insert_batch(reps_);
-  retrieval::RetrievalEngine<index::FovIndex> plain(rtree_, cfg_);
-  retrieval::RetrievalEngine<index::ShardedFovIndex> wrapped(sharded, cfg_);
-  util::Xoshiro256 rng(12);
   for (int i = 0; i < 15; ++i) {
     const auto q = random_query(rng);
     ASSERT_EQ(keys(plain.search(q)), keys(wrapped.search(q))) << i;
