@@ -143,7 +143,8 @@ class Side {
           const auto t0 = Clock::now();
           std::vector<std::uint8_t> resp;
           if (!req.empty() && req.front() == cluster::kMsgQueryFanout) {
-            resp = cluster::handle_fanout_query(*servers_[node], node, req);
+            resp = cluster::handle_fanout_query(
+                *servers_[node], router_->partitioner(), node, req);
           } else {
             auto ack = servers_[node]->handle_upload_acked(req);
             if (ack) resp = std::move(*ack);

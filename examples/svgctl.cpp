@@ -98,6 +98,8 @@
 // structured event journal before any non-zero exit, so a failed run
 // explains what the system did last.
 //
+// Every subcommand refuses a flag it does not read (exit 1, naming it).
+//
 // Exit codes: 0 ok, 1 bad usage, 2 runtime failure, 3 recovered/readable
 // but a torn tail was (or would be) truncated (recover, wal-dump).
 
@@ -111,6 +113,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -1244,6 +1247,56 @@ int cmd_trace(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+/// Every flag a subcommand reads, in groups: its own, then the groups of
+/// the shared helpers it calls. main() refuses any other flag, so a
+/// mistyped or retired flag (say query --backend) fails loudly instead of
+/// running with the default.
+using FlagSet = std::vector<std::string_view>;
+const FlagSet kMetricsFlags = {"metrics-out", "metrics-format"};
+const FlagSet kTracingFlags = {"sample", "slow-ms"};
+const FlagSet kDurabilityFlags = {"data-dir", "fsync", "segment-bytes",
+                                  "checkpoint-interval-ms"};
+const FlagSet kAdmissionFlags = {"admit-rate", "admit-burst", "queue-depth",
+                                 "deadline-ms"};
+const FlagSet kGenerateFlags = {"out",  "extent", "providers",   "fps",
+                                "seed", "alpha",  "view-radius", "thresh"};
+const FlagSet kInfoFlags = {"in"};
+const FlagSet kQueryFlags = {"in",  "alpha", "view-radius", "slack",
+                             "top", "lat",   "lng",         "radius",
+                             "from", "to",   "trace",       "trace-out"};
+const FlagSet kTraceFlags = {"mode", "in", "lat",     "lng", "radius",
+                             "from", "to", "queries", "out"};
+const FlagSet kRecoverFlags = {"checkpoint"};
+const FlagSet kWalDumpFlags = {"data-dir", "records"};
+const FlagSet kChaosFlags = {"seeds", "drop", "dup", "reorder", "corrupt",
+                             "overload", "providers", "disk-write-error",
+                             "disk-fsync-error", "disk-short-write"};
+const FlagSet kClusterFlags = {"nodes", "seeds",   "queries", "drop",
+                               "dup",   "reorder", "corrupt", "providers"};
+const FlagSet kScrubFlags = {"selftest", "data-dir", "quarantine"};
+
+struct Command {
+  std::string_view name;
+  int (*run)(const std::map<std::string, std::string>&);
+  std::vector<const FlagSet*> flags;
+};
+
+const Command kCommands[] = {
+    {"generate", cmd_generate,
+     {&kGenerateFlags, &kDurabilityFlags, &kMetricsFlags}},
+    {"info", cmd_info, {&kInfoFlags}},
+    {"query", cmd_query,
+     {&kQueryFlags, &kDurabilityFlags, &kAdmissionFlags, &kTracingFlags,
+      &kMetricsFlags}},
+    {"trace", cmd_trace, {&kTraceFlags, &kTracingFlags, &kDurabilityFlags}},
+    {"recover", cmd_recover,
+     {&kRecoverFlags, &kDurabilityFlags, &kMetricsFlags}},
+    {"wal-dump", cmd_wal_dump, {&kWalDumpFlags}},
+    {"chaos", cmd_chaos, {&kChaosFlags, &kMetricsFlags}},
+    {"cluster", cmd_cluster, {&kClusterFlags, &kMetricsFlags}},
+    {"scrub", cmd_scrub, {&kScrubFlags, &kMetricsFlags}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1255,15 +1308,21 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   const auto flags = parse_flags(argc, argv, 2);
-  if (cmd == "generate") return cmd_generate(flags);
-  if (cmd == "info") return cmd_info(flags);
-  if (cmd == "query") return cmd_query(flags);
-  if (cmd == "trace") return cmd_trace(flags);
-  if (cmd == "recover") return cmd_recover(flags);
-  if (cmd == "wal-dump") return cmd_wal_dump(flags);
-  if (cmd == "chaos") return cmd_chaos(flags);
-  if (cmd == "cluster") return cmd_cluster(flags);
-  if (cmd == "scrub") return cmd_scrub(flags);
+  for (const Command& c : kCommands) {
+    if (c.name != cmd) continue;
+    for (const auto& [key, value] : flags) {
+      const bool known =
+          std::any_of(c.flags.begin(), c.flags.end(), [&](const FlagSet* g) {
+            return std::find(g->begin(), g->end(), key) != g->end();
+          });
+      if (!known) {
+        std::cerr << "error: svgctl " << cmd << " does not take --" << key
+                  << "\n";
+        return 1;
+      }
+    }
+    return c.run(flags);
+  }
   std::cerr << "unknown command: " << cmd << "\n";
   return 1;
 }

@@ -131,7 +131,7 @@ std::vector<std::uint8_t> Cluster::dispatch(
   // crc check rejects it (no reply — the sender retries).
   if (request.front() == kMsgQueryFanout) {
     // Reads always serve — a fenced node only refuses ingest.
-    return handle_fanout_query(*n.server, i, request);
+    return handle_fanout_query(*n.server, partitioner_, i, request);
   }
   const auto msg = net::decode_upload(request);
   if (n.fence != nullptr && msg) {

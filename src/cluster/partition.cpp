@@ -1,6 +1,7 @@
 #include "cluster/partition.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -14,17 +15,6 @@ GeoPartitioner::GeoPartitioner(PartitionConfig cfg) : cfg_(cfg) {
   const double h = cfg_.bounds.max[1] - cfg_.bounds.min[1];
   cell_w_ = w > 0 ? w / static_cast<double>(side_) : 1.0;
   cell_h_ = h > 0 ? h / static_cast<double>(side_) : 1.0;
-}
-
-std::size_t GeoPartitioner::cell_of(double lng, double lat) const noexcept {
-  auto axis = [this](double v, double lo, double cell) {
-    const auto i = static_cast<std::int64_t>((v - lo) / cell);
-    return static_cast<std::size_t>(
-        std::clamp<std::int64_t>(i, 0, static_cast<std::int64_t>(side_) - 1));
-  };
-  const std::size_t x = axis(lng, cfg_.bounds.min[0], cell_w_);
-  const std::size_t y = axis(lat, cfg_.bounds.min[1], cell_h_);
-  return y * side_ + x;
 }
 
 std::size_t GeoPartitioner::partition_of_cell(std::size_t cell) const noexcept {
@@ -47,25 +37,61 @@ std::vector<std::size_t> GeoPartitioner::partitions_for_range(
   // entirely cannot match any in-bounds content, so no node is contacted.
   // (Border-clamped out-of-bounds cameras remain reachable by any query
   // whose rectangle overlaps the border cells — see docs/CLUSTER.md.)
-  if (range.lng_min > cfg_.bounds.max[0] ||
-      range.lng_max < cfg_.bounds.min[0] ||
-      range.lat_min > cfg_.bounds.max[1] ||
-      range.lat_max < cfg_.bounds.min[1]) {
-    return {};
-  }
-  const std::size_t x0 = cell_of(range.lng_min, range.lat_min) % side_;
-  const std::size_t y0 = cell_of(range.lng_min, range.lat_min) / side_;
-  const std::size_t x1 = cell_of(range.lng_max, range.lat_max) % side_;
-  const std::size_t y1 = cell_of(range.lng_max, range.lat_max) / side_;
   std::vector<std::size_t> out;
-  for (std::size_t y = y0; y <= y1; ++y) {
-    for (std::size_t x = x0; x <= x1; ++x) {
-      out.push_back(partition_of_cell(y * side_ + x));
-    }
-  }
+  for_each_cell(range, [&](std::size_t x, std::size_t y) {
+    out.push_back(partition_of_cell(y * side_ + x));
+  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+index::GeoTimeRange GeoPartitioner::owned_clip(
+    const index::GeoTimeRange& range,
+    std::span<const std::uint32_t> partitions,
+    std::vector<std::uint8_t>& owned) const {
+  owned.assign(cell_count(), 0);
+  std::size_t x0 = side_, y0 = side_, x1 = 0, y1 = 0;
+  for_each_cell(range, [&](std::size_t x, std::size_t y) {
+    const std::size_t cell = y * side_ + x;
+    if (!std::binary_search(partitions.begin(), partitions.end(),
+                            partition_of_cell(cell))) {
+      return;
+    }
+    owned[cell] = 1;
+    x0 = std::min(x0, x);
+    y0 = std::min(y0, y);
+    x1 = std::max(x1, x);
+    y1 = std::max(y1, y);
+  });
+  index::GeoTimeRange clip = range;
+  if (x0 > x1) {  // no owned cell: an empty box the descent rejects at once
+    clip.lng_min = std::numeric_limits<double>::infinity();
+    clip.lng_max = -clip.lng_min;
+    return clip;
+  }
+  const double pad_w = cell_w_ * 1e-6;
+  const double pad_h = cell_h_ * 1e-6;
+  const double lng0 = cfg_.bounds.min[0];
+  const double lat0 = cfg_.bounds.min[1];
+  // Border cells stay open outward: the rectangle itself bounds them.
+  if (x0 > 0) {
+    clip.lng_min = std::max(clip.lng_min,
+                            lng0 + static_cast<double>(x0) * cell_w_ - pad_w);
+  }
+  if (x1 + 1 < side_) {
+    clip.lng_max = std::min(
+        clip.lng_max, lng0 + static_cast<double>(x1 + 1) * cell_w_ + pad_w);
+  }
+  if (y0 > 0) {
+    clip.lat_min = std::max(clip.lat_min,
+                            lat0 + static_cast<double>(y0) * cell_h_ - pad_h);
+  }
+  if (y1 + 1 < side_) {
+    clip.lat_max = std::min(
+        clip.lat_max, lat0 + static_cast<double>(y1 + 1) * cell_h_ + pad_h);
+  }
+  return clip;
 }
 
 RoutingTable RoutingTable::identity(std::size_t partitions) {

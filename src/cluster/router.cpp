@@ -212,38 +212,54 @@ std::vector<retrieval::RankedResult> Router::search(
   const std::vector<std::size_t> parts =
       partitioner_.partitions_for_range(range);
 
-  std::uint64_t epoch = 0;
-  std::vector<std::uint32_t> targets;  // owning nodes, deduplicated
+  // One (node, partition) pair per intersecting partition; sorted, each
+  // node's partitions form one ascending run — its leg's scope.
+  QueryFanoutMessage fan;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> legs;
+  legs.reserve(parts.size());
   std::size_t serving_nodes = 0;
   {
     std::shared_lock lk(table_mu_);
-    epoch = table_.epoch;
-    for (const std::size_t p : parts) targets.push_back(table_.primary_of[p]);
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+    fan.epoch = table_.epoch;
+    for (const std::size_t p : parts) {
+      legs.emplace_back(table_.primary_of[p], static_cast<std::uint32_t>(p));
+    }
     std::vector<std::uint32_t> all = table_.primary_of;
     std::sort(all.begin(), all.end());
     all.erase(std::unique(all.begin(), all.end()), all.end());
     serving_nodes = all.size();
   }
+  std::sort(legs.begin(), legs.end());
+  std::size_t targets = 0;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    targets += (i == 0 || legs[i].first != legs[i - 1].first) ? 1 : 0;
+  }
   span.tag("partitions", parts.size());
-  span.tag("nodes", targets.size());
-  m.fanout_nodes.inc(targets.size());
-  m.fanout_skipped.inc(serving_nodes - targets.size());
-  if (targets.empty()) return {};  // query misses the deployment entirely
+  span.tag("nodes", targets);
+  m.fanout_nodes.inc(targets);
+  m.fanout_skipped.inc(serving_nodes - targets);
+  if (targets == 0) return {};  // query misses the deployment entirely
 
-  QueryFanoutMessage fan;
-  fan.epoch = epoch;
   fan.t_start = q.t_start;
   fan.t_end = q.t_end;
   fan.center = q.center;
   fan.radius_m = q.radius_m;
   fan.top_n = top_n;
-  const auto request = encode_query_fanout(fan);
+  fan.partitions.reserve(legs.size());
+  std::vector<std::uint8_t> request;  // one buffer, re-encoded per leg
 
   std::vector<std::vector<retrieval::RankedResult>> lists;
-  lists.reserve(targets.size());
-  for (const std::uint32_t node : targets) {
+  lists.reserve(targets);
+  for (std::size_t begin = 0; begin < legs.size();) {
+    const std::uint32_t node = legs[begin].first;
+    fan.partitions.clear();
+    std::size_t end = begin;
+    for (; end < legs.size() && legs[end].first == node; ++end) {
+      fan.partitions.push_back(legs[end].second);
+    }
+    begin = end;
+    encode_query_fanout(fan, request);
+
     std::optional<FanoutResultsMessage> answer;
     for (std::size_t attempt = 0;
          attempt < attempts_per_node && !answer; ++attempt) {
@@ -262,15 +278,11 @@ std::vector<retrieval::RankedResult> Router::search(
     }
   }
 
-  // Followers may answer with copies of rows the owning primary also
-  // returned (replication), so the merge deduplicates by segment identity.
+  // Each leg answers only for its own partitions, so the lists hold
+  // disjoint rows: a plain k-way merge, no deduplication.
   return retrieval::merge_ranked_lists(
       std::span<const std::vector<retrieval::RankedResult>>(lists), top_n,
-      retrieval::RankedBefore{},
-      [](const retrieval::RankedResult& a, const retrieval::RankedResult& b) {
-        return a.rep.video_id == b.rep.video_id &&
-               a.rep.segment_id == b.rep.segment_id;
-      });
+      retrieval::RankedBefore{});
 }
 
 RoutingTableMessage Router::routing() const {
@@ -301,19 +313,51 @@ void Router::refresh_table() {
   }
 }
 
+namespace {
+
+/// Stage-1 collector of a scoped leg: one index descent clipped to the
+/// owned cells' box, and an owned-cell test on every row before it is
+/// copied. Rows of other partitions — replicated copies that another leg
+/// answers for — never reach the filter.
+struct ScopedCollector {
+  const GeoPartitioner& partitioner;
+  std::span<const std::uint32_t> partitions;
+  std::vector<std::uint8_t>& owned;  ///< per-cell mask, reused per thread
+
+  template <typename Index>
+  void operator()(const Index& index, const index::GeoTimeRange& range,
+                  std::vector<core::RepresentativeFov>& out) const {
+    const index::GeoTimeRange clip =
+        partitioner.owned_clip(range, partitions, owned);
+    index.query(clip, [&](const core::RepresentativeFov& rep) {
+      if (owned[partitioner.cell_of(rep.fov.p.lng, rep.fov.p.lat)] != 0) {
+        out.push_back(rep);
+      }
+    });
+  }
+};
+
+}  // namespace
+
 std::vector<std::uint8_t> handle_fanout_query(
-    net::CloudServer& server, std::size_t node_id,
-    std::span<const std::uint8_t> bytes) {
-  const auto msg = decode_query_fanout(bytes);
-  if (!msg) return {};
+    net::CloudServer& server, const GeoPartitioner& partitioner,
+    std::size_t node_id, std::span<const std::uint8_t> bytes) {
+  // Per-thread message and cell mask: a leg allocates nothing for them
+  // once the thread has served one.
+  thread_local QueryFanoutMessage msg;
+  thread_local std::vector<std::uint8_t> owned;
+  if (!decode_query_fanout(bytes, msg)) return {};
+  // The list is sorted, so its last id is the largest.
+  if (msg.partitions.back() >= partitioner.config().partitions) return {};
   retrieval::Query q;
-  q.t_start = msg->t_start;
-  q.t_end = msg->t_end;
-  q.center = msg->center;
-  q.radius_m = msg->radius_m;
+  q.t_start = msg.t_start;
+  q.t_end = msg.t_end;
+  q.center = msg.center;
+  q.radius_m = msg.radius_m;
   FanoutResultsMessage out;
   out.node = node_id;
-  out.results = server.search_n(q, msg->top_n);
+  out.results = server.search_n(
+      q, msg.top_n, ScopedCollector{partitioner, msg.partitions, owned});
   return encode_fanout_results(out);
 }
 

@@ -3,8 +3,9 @@
 // geo-cell of every segment's FoV position into per-partition sub-uploads,
 // delivers each to the partition's serving node, and aggregates the
 // sub-acks into one client-visible ack; fans queries out only to the
-// nodes whose cells intersect the (lossless-expanded) search rectangle
-// and k-way-merges the per-node top-N lists deterministically
+// nodes whose cells intersect the (lossless-expanded) search rectangle,
+// each leg scoped to the partitions its node serves, and k-way-merges the
+// disjoint per-node top-N lists deterministically
 // (retrieval::merge_ranked_lists with the RankedBefore tie-break).
 //
 // Sub-upload ids are a pure function of (parent upload_id, partition), so
@@ -80,10 +81,12 @@ class Router {
   [[nodiscard]] net::UploadQueue::AttemptFn upload_channel();
 
   /// Scatter-gather search: fan out to the nodes owning intersecting
-  /// cells (retrying each leg up to `attempts_per_node` times across the
+  /// cells, each leg scoped to the partitions its node serves in this
+  /// query (retrying each leg up to `attempts_per_node` times across the
   /// faulty transport), merge with the deterministic ranked merge, return
   /// the global top-N. Sets *complete=false when some node never
-  /// answered (results are then best-effort).
+  /// answered (results are then best-effort: they lack that node's
+  /// partitions, even where a follower holds copies of their rows).
   [[nodiscard]] std::vector<retrieval::RankedResult> search(
       const retrieval::Query& q, std::uint32_t top_n,
       bool* complete = nullptr, std::size_t attempts_per_node = 16);
@@ -128,10 +131,13 @@ class Router {
 };
 
 /// Node side of one fan-out leg: decode, run the local engine with the
-/// request's top-N (CloudServer::search_n), answer with exact doubles.
-/// Empty vector on a malformed request (no reply — the router retries).
+/// request's top-N (CloudServer::search_n) scoped to the request's
+/// partitions under `partitioner` — only rows whose cell belongs to one
+/// of them are candidates — and answer with exact doubles. Empty vector
+/// on a malformed request or a partition id beyond the partition count
+/// (no reply — the router retries).
 [[nodiscard]] std::vector<std::uint8_t> handle_fanout_query(
-    net::CloudServer& server, std::size_t node_id,
-    std::span<const std::uint8_t> bytes);
+    net::CloudServer& server, const GeoPartitioner& partitioner,
+    std::size_t node_id, std::span<const std::uint8_t> bytes);
 
 }  // namespace svg::cluster

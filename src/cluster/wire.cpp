@@ -1,6 +1,7 @@
 #include "cluster/wire.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "store/crc32c.hpp"
 #include "store/snapshot.hpp"
@@ -51,8 +52,9 @@ std::optional<double> get_double(ByteReader& r) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_query_fanout(const QueryFanoutMessage& m) {
-  ByteWriter w;
+void encode_query_fanout(const QueryFanoutMessage& m,
+                         std::vector<std::uint8_t>& out) {
+  ByteWriter w(std::move(out));
   w.put_u8(kMsgQueryFanout);
   w.put_varint(m.epoch);
   w.put_svarint(static_cast<std::int64_t>(m.t_start));
@@ -61,34 +63,44 @@ std::vector<std::uint8_t> encode_query_fanout(const QueryFanoutMessage& m) {
   put_double(w, m.center.lng);
   put_double(w, m.radius_m);
   w.put_varint(m.top_n);
-  return seal(w);
+  w.put_varint(m.partitions.size());
+  for (const std::uint32_t p : m.partitions) w.put_varint(p);
+  out = seal(w);
 }
 
-std::optional<QueryFanoutMessage> decode_query_fanout(
-    std::span<const std::uint8_t> bytes) {
+bool decode_query_fanout(std::span<const std::uint8_t> bytes,
+                         QueryFanoutMessage& out) {
   const auto body = unseal(bytes);
-  if (!body) return std::nullopt;
+  if (!body) return false;
   ByteReader r(*body);
   const auto tag = r.get_u8();
-  if (!tag || *tag != kMsgQueryFanout) return std::nullopt;
-  QueryFanoutMessage m;
+  if (!tag || *tag != kMsgQueryFanout) return false;
   const auto epoch = r.get_varint();
   const auto t0 = r.get_svarint();
   const auto dt = r.get_svarint();
-  if (!epoch || !t0 || !dt) return std::nullopt;
-  m.epoch = *epoch;
-  m.t_start = static_cast<core::TimestampMs>(*t0);
-  if (__builtin_add_overflow(*t0, *dt, &m.t_end)) return std::nullopt;
+  if (!epoch || !t0 || !dt) return false;
+  out.epoch = *epoch;
+  out.t_start = static_cast<core::TimestampMs>(*t0);
+  if (__builtin_add_overflow(*t0, *dt, &out.t_end)) return false;
   const auto lat = get_double(r);
   const auto lng = get_double(r);
   const auto radius = get_double(r);
   const auto top_n = r.get_varint();
-  if (!lat || !lng || !radius || !top_n) return std::nullopt;
-  m.center = {*lat, *lng};
-  m.radius_m = *radius;
-  m.top_n = static_cast<std::uint32_t>(*top_n);
-  if (!r.exhausted()) return std::nullopt;
-  return m;
+  const auto count = r.get_varint();
+  if (!lat || !lng || !radius || !top_n || !count) return false;
+  out.center = {*lat, *lng};
+  out.radius_m = *radius;
+  out.top_n = static_cast<std::uint32_t>(*top_n);
+  // Every id is at least one byte, which also bounds the reserve.
+  if (*count == 0 || *count > r.remaining()) return false;
+  out.partitions.clear();
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    const auto p = r.get_varint();
+    if (!p || *p > UINT32_MAX) return false;
+    if (!out.partitions.empty() && *p <= out.partitions.back()) return false;
+    out.partitions.push_back(static_cast<std::uint32_t>(*p));
+  }
+  return r.exhausted();
 }
 
 std::vector<std::uint8_t> encode_fanout_results(

@@ -35,9 +35,18 @@ inline constexpr std::uint8_t kMsgReplicateBatch = 10;
 inline constexpr std::uint8_t kMsgReplicateAck = 11;
 inline constexpr std::uint8_t kMsgRoutingTable = 12;
 
-/// Router → node: one leg of a scatter-gather query. Carries the router's
-/// routing epoch so a node can spot a stale router (diagnostic only — the
-/// merge is correct regardless, because answers are deduplicated).
+/// Router → node: one leg of a scatter-gather query, scoped to the
+/// partitions this node serves under the router's table. The node answers
+/// only with rows of those partitions, so the legs of one query return
+/// disjoint rows and the merge needs no deduplication. The routing epoch
+/// is diagnostic only: the partition list, not the node's own view of the
+/// table, decides what a leg returns.
+///
+/// Layout after the tag: epoch, t_start, t_end - t_start, lat, lng,
+/// radius, top_n, then the partition list as a count and that many
+/// varints — non-empty, strictly ascending. The decoder refuses anything
+/// else (empty, unsorted or duplicate list, truncation, trailing bytes);
+/// ids beyond the partition count are refused by the node.
 struct QueryFanoutMessage {
   std::uint64_t epoch = 0;
   core::TimestampMs t_start = 0;
@@ -45,6 +54,7 @@ struct QueryFanoutMessage {
   geo::LatLng center;
   double radius_m = 0.0;
   std::uint32_t top_n = 10;
+  std::vector<std::uint32_t> partitions;  ///< sorted, unique, non-empty
 };
 
 /// Node → router: the node's exact local top-N, already sorted by
@@ -87,10 +97,15 @@ struct RoutingTableMessage {
   RoutingTable table;
 };
 
-[[nodiscard]] std::vector<std::uint8_t> encode_query_fanout(
-    const QueryFanoutMessage& m);
-[[nodiscard]] std::optional<QueryFanoutMessage> decode_query_fanout(
-    std::span<const std::uint8_t> bytes);
+/// The fan-out codec writes into and decodes into caller-owned storage,
+/// so a router encoding one leg per node and a node decoding every leg
+/// reuse their buffers' capacity instead of allocating per leg. The
+/// decoder returns false on any malformed message; `out` is then
+/// unspecified.
+void encode_query_fanout(const QueryFanoutMessage& m,
+                         std::vector<std::uint8_t>& out);
+[[nodiscard]] bool decode_query_fanout(std::span<const std::uint8_t> bytes,
+                                       QueryFanoutMessage& out);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_fanout_results(
     const FanoutResultsMessage& m);

@@ -321,27 +321,6 @@ std::vector<retrieval::RankedResult> CloudServer::search(
   return run_engine(q, retrieval_config_.top_n, trace);
 }
 
-std::vector<retrieval::RankedResult> CloudServer::search_n(
-    const retrieval::Query& q, std::uint32_t top_n,
-    retrieval::SearchTrace* trace) const {
-  auto& m = obs::server_metrics();
-  obs::Span span = obs::tracer().root_span("server.query");
-  obs::ScopedTimer timer(m.query_ns, span.trace_id());
-  queries_served_.fetch_add(1, std::memory_order_relaxed);
-  m.queries.inc();
-  return run_engine(q, top_n, trace);
-}
-
-std::vector<retrieval::RankedResult> CloudServer::run_engine(
-    const retrieval::Query& q, std::size_t top_n,
-    retrieval::SearchTrace* trace) const {
-  retrieval::RetrievalConfig cfg = retrieval_config_;
-  cfg.top_n = top_n;
-  const retrieval::RetrievalEngine<index::ConcurrentFovIndex> engine(index_,
-                                                                     cfg);
-  return engine.search(q, trace);
-}
-
 std::optional<std::vector<std::uint8_t>> CloudServer::handle_query(
     std::span<const std::uint8_t> bytes, double deadline_ms) {
   auto& m = obs::server_metrics();

@@ -154,11 +154,22 @@ class CloudServer {
       retrieval::SearchTrace* trace = nullptr) const;
 
   /// search() with a per-request top-N override — the in-process twin of
-  /// handle_query's top_n field, used by the cluster fan-out path so a
-  /// node's local cut matches what a wire query would have returned.
+  /// handle_query's top_n field — and an optional stage-1 collector
+  /// (retrieval::RetrievalEngine::search_with). The cluster fan-out leg
+  /// passes one that scopes the search to the partitions it was asked
+  /// for; single-node callers leave the default, which collects every
+  /// row of the search rectangle.
+  template <typename Collect = retrieval::CollectAll>
   [[nodiscard]] std::vector<retrieval::RankedResult> search_n(
       const retrieval::Query& q, std::uint32_t top_n,
-      retrieval::SearchTrace* trace = nullptr) const;
+      Collect&& collect = {}) const {
+    auto& m = obs::server_metrics();
+    obs::Span span = obs::tracer().root_span("server.query");
+    obs::ScopedTimer timer(m.query_ns, span.trace_id());
+    queries_served_.fetch_add(1, std::memory_order_relaxed);
+    m.queries.inc();
+    return run_engine(q, top_n, nullptr, collect);
+  }
 
   [[nodiscard]] std::size_t indexed_segments() const { return index_.size(); }
   [[nodiscard]] ServerStats stats() const;
@@ -208,9 +219,16 @@ class CloudServer {
  private:
   /// One engine construction for every query entry point (search,
   /// search_n, handle_query): the configured pipeline with `top_n`.
+  template <typename Collect = retrieval::CollectAll>
   [[nodiscard]] std::vector<retrieval::RankedResult> run_engine(
       const retrieval::Query& q, std::size_t top_n,
-      retrieval::SearchTrace* trace) const;
+      retrieval::SearchTrace* trace, Collect&& collect = {}) const {
+    retrieval::RetrievalConfig cfg = retrieval_config_;
+    cfg.top_n = top_n;
+    const retrieval::RetrievalEngine<index::ConcurrentFovIndex> engine(index_,
+                                                                       cfg);
+    return engine.search_with(q, collect, trace);
+  }
 
   /// Atomically claim an upload_id. False = already ingested (retransmit).
   /// id 0 (legacy/no-id) always claims successfully and is never stored.

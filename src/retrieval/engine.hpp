@@ -86,6 +86,20 @@ struct SearchTrace {
   }
 };
 
+/// The default stage-1 collector: every FoV in the search rectangle.
+/// A collector is called once per search as collect(index, range, out)
+/// and appends stage 1's candidates to `out` (cleared by the engine); a
+/// custom one may narrow the descent or drop rows before they are copied
+/// (the cluster's scoped fan-out leg does both — cluster/router.cpp).
+struct CollectAll {
+  template <typename Index>
+  void operator()(const Index& index, const index::GeoTimeRange& range,
+                  std::vector<core::RepresentativeFov>& out) const {
+    index.query(range,
+                [&](const core::RepresentativeFov& rep) { out.push_back(rep); });
+  }
+};
+
 template <typename Index>
 class RetrievalEngine {
  public:
@@ -107,6 +121,15 @@ class RetrievalEngine {
   /// four clock reads per search — never one per candidate.
   [[nodiscard]] std::vector<RankedResult> search(
       const Query& q, SearchTrace* trace = nullptr) const {
+    return search_with(q, CollectAll{}, trace);
+  }
+
+  /// search() with a custom stage-1 collector (see CollectAll). The
+  /// collector is a template parameter, so its per-row work inlines into
+  /// the index descent — no std::function per row.
+  template <typename Collect>
+  [[nodiscard]] std::vector<RankedResult> search_with(
+      const Query& q, Collect&& collect, SearchTrace* trace = nullptr) const {
     // Child of the caller's open span (server.query) when the request is
     // traced; inactive no-op otherwise. Stage records nest under it.
     obs::Span pipeline_span = obs::tracer().span("retrieval.search");
@@ -119,15 +142,13 @@ class RetrievalEngine {
                                  : lossless_expansion(q, config_.camera);
     const index::GeoTimeRange range = make_search_range(q, expansion);
 
-    // Stage 1 — range search: collect every FoV in the expanded rectangle.
-    // The buffer is per-thread and reused across searches, so steady-state
-    // queries allocate nothing here (the visitor inlines through the
-    // index's template query() — no std::function on the hot path).
+    // Stage 1 — range search: the collector gathers the FoVs of the
+    // expanded rectangle (all of them, by default). The buffer is
+    // per-thread and reused across searches, so steady-state queries
+    // allocate nothing here.
     std::vector<core::RepresentativeFov>& candidates = scratch();
     candidates.clear();
-    index_->query(range, [&](const core::RepresentativeFov& rep) {
-      candidates.push_back(rep);
-    });
+    collect(*index_, range, candidates);
     const std::uint64_t t1 = timed ? obs::now_ns() : 0;
 
     // Stage 2 — orientation filter: keep FoVs whose viewing sector covers

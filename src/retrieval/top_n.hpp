@@ -66,19 +66,17 @@ class BoundedTopN {
 };
 
 /// Deterministic k-way merge of per-source ranked lists, each already
-/// sorted by `before`, keeping the best `k` overall. Non-destructive: the
-/// inputs are read through spans and never moved from. `same(a, b)` marks
-/// `b` as a duplicate of an already-merged `a` and drops it — cluster
-/// followers can answer with copies of rows the owning primary also
-/// returns. Exact ties under `before` resolve to the lower source index,
-/// so the output is a pure function of (lists, order-within-list) — and,
-/// when every list is sorted by a total order such as RankedBefore, of
-/// the candidate *set* alone. This is the merge behind the cluster
-/// scatter-gather.
-template <typename T, typename Before, typename Same>
+/// sorted by `before`, keeping the best `k` overall. The lists must be
+/// disjoint (no row in two of them) — scoped cluster fan-out legs are, by
+/// construction. Non-destructive: the inputs are read through spans and
+/// never moved from. Exact ties under `before` resolve to the lower
+/// source index, so the output is a pure function of (lists,
+/// order-within-list) — and, when every list is sorted by a total order
+/// such as RankedBefore, of the candidate *set* alone. This is the merge
+/// behind the cluster scatter-gather.
+template <typename T, typename Before>
 [[nodiscard]] std::vector<T> merge_ranked_lists(
-    std::span<const std::vector<T>> lists, std::size_t k, Before before,
-    Same same) {
+    std::span<const std::vector<T>> lists, std::size_t k, Before before) {
   struct Cursor {
     std::size_t list = 0;
     std::size_t pos = 0;
@@ -104,30 +102,13 @@ template <typename T, typename Before, typename Same>
     std::pop_heap(heap.begin(), heap.end(), worse);
     Cursor c = heap.back();
     heap.pop_back();
-    const T& item = lists[c.list][c.pos];
-    bool duplicate = false;
-    for (const T& seen : out) {
-      if (same(seen, item)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) out.push_back(item);
+    out.push_back(lists[c.list][c.pos]);
     if (c.pos + 1 < lists[c.list].size()) {
       heap.push_back({c.list, c.pos + 1});
       std::push_heap(heap.begin(), heap.end(), worse);
     }
   }
   return out;
-}
-
-/// merge_ranked_lists without duplicate suppression, for lists that
-/// partition the candidate set (no row appears twice).
-template <typename T, typename Before>
-[[nodiscard]] std::vector<T> merge_ranked_lists(
-    std::span<const std::vector<T>> lists, std::size_t k, Before before) {
-  return merge_ranked_lists(lists, k, before,
-                            [](const T&, const T&) { return false; });
 }
 
 }  // namespace svg::retrieval

@@ -10,12 +10,21 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace svg::util {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Write into `recycled`'s storage (cleared first), so a hot encoder can
+  /// reuse one buffer's capacity across messages.
+  explicit ByteWriter(std::vector<std::uint8_t> recycled)
+      : buf_(std::move(recycled)) {
+    buf_.clear();
+  }
+
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
   void put_u16(std::uint16_t v);
   void put_u32(std::uint32_t v);

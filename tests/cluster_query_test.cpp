@@ -1,11 +1,13 @@
 // Scatter-gather correctness: the cluster's merged top-N must be
 // byte-identical (through the client results codec) to a single-node
 // server holding the same corpus, a query missing the deployment fans out
-// to zero nodes, and the shared k-way merge helper behaves exactly as the
-// single-list ranking.
+// to zero nodes, the shared k-way merge helper behaves exactly as the
+// single-list ranking, and the fan-out leg codec (with its partition
+// list) round-trips and refuses every malformed leg.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/router.hpp"
 #include "cluster/wire.hpp"
 #include "net/server.hpp"
 #include "net/upload_queue.hpp"
@@ -170,33 +173,6 @@ TEST(ClusterQueryTest, MergeKeepsGlobalOrderAcrossLists) {
   EXPECT_DOUBLE_EQ(merged[3].distance_m, 3.0);
 }
 
-TEST(ClusterQueryTest, MergeDeduplicatesFollowerCopies) {
-  auto mk = [](double d, std::uint64_t vid, std::uint32_t sid) {
-    retrieval::RankedResult r;
-    r.distance_m = d;
-    r.rep.video_id = vid;
-    r.rep.segment_id = sid;
-    return r;
-  };
-  // List 1 is a follower holding replicated copies of list 0's rows.
-  std::vector<std::vector<retrieval::RankedResult>> lists = {
-      {mk(1.0, 1, 0), mk(2.0, 1, 1)},
-      {mk(1.0, 1, 0), mk(2.0, 1, 1), mk(3.0, 2, 0)},
-  };
-  const auto same = [](const retrieval::RankedResult& a,
-                       const retrieval::RankedResult& b) {
-    return a.rep.video_id == b.rep.video_id &&
-           a.rep.segment_id == b.rep.segment_id;
-  };
-  const auto merged = retrieval::merge_ranked_lists(
-      std::span<const std::vector<retrieval::RankedResult>>(lists), 10,
-      retrieval::RankedBefore{}, same);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].rep.video_id, 1u);
-  EXPECT_EQ(merged[1].rep.segment_id, 1u);
-  EXPECT_EQ(merged[2].rep.video_id, 2u);
-}
-
 TEST(ClusterQueryTest, MergeTiesResolveToLowerListIndex) {
   auto mk = [](double d, std::uint64_t vid) {
     retrieval::RankedResult r;
@@ -252,14 +228,137 @@ TEST(ClusterQueryTest, FanoutDecoderRejectsTimeWindowOverflow) {
     w.put_svarint(dt);
     for (int i = 0; i < 3; ++i) w.put_u64(0);  // lat, lng, radius doubles
     w.put_varint(10);                         // top_n
+    w.put_varint(1);                          // partition count
+    w.put_varint(0);                          // partition 0
     w.put_u32(store::crc32c(w.bytes()));
     return w.take();
   };
-  EXPECT_FALSE(decode_query_fanout(fanout(kMax, 1)).has_value());
-  EXPECT_FALSE(decode_query_fanout(fanout(kMin, -1)).has_value());
-  const auto edge = decode_query_fanout(fanout(kMax - 1, 1));
-  ASSERT_TRUE(edge.has_value());
-  EXPECT_EQ(edge->t_end, kMax);
+  QueryFanoutMessage m;
+  EXPECT_FALSE(decode_query_fanout(fanout(kMax, 1), m));
+  EXPECT_FALSE(decode_query_fanout(fanout(kMin, -1), m));
+  ASSERT_TRUE(decode_query_fanout(fanout(kMax - 1, 1), m));
+  EXPECT_EQ(m.t_end, kMax);
+}
+
+QueryFanoutMessage sample_fanout() {
+  QueryFanoutMessage m;
+  m.epoch = 7;
+  m.t_start = 1'400'000'000'000;
+  m.t_end = m.t_start + 3'600'000;
+  m.center = {39.91, 116.40};
+  m.radius_m = 75.5;
+  m.top_n = 12;
+  m.partitions = {0, 2, 300};  // 300: a two-byte varint
+  return m;
+}
+
+/// A fan-out body (everything before the crc) with a hand-written
+/// partition list, sealed with a valid crc — the malformed lists no
+/// encoder produces.
+std::vector<std::uint8_t> fanout_with_list(
+    const std::vector<std::uint64_t>& list, std::uint64_t count,
+    bool trailing_byte) {
+  util::ByteWriter w;
+  w.put_u8(kMsgQueryFanout);
+  w.put_varint(1);                       // epoch
+  w.put_svarint(1'400'000'000'000);      // t_start
+  w.put_svarint(3'600'000);              // t_end - t_start
+  w.put_u64(std::bit_cast<std::uint64_t>(39.91));
+  w.put_u64(std::bit_cast<std::uint64_t>(116.40));
+  w.put_u64(std::bit_cast<std::uint64_t>(50.0));
+  w.put_varint(10);                      // top_n
+  w.put_varint(count);
+  for (const std::uint64_t p : list) w.put_varint(p);
+  if (trailing_byte) w.put_u8(0);
+  w.put_u32(store::crc32c(w.bytes()));
+  return w.take();
+}
+
+TEST(ClusterQueryTest, FanoutRoundTripsWithItsPartitionList) {
+  const QueryFanoutMessage want = sample_fanout();
+  std::vector<std::uint8_t> bytes;
+  encode_query_fanout(want, bytes);
+  ASSERT_EQ(bytes.front(), kMsgQueryFanout);  // tag 8 leads every leg
+  QueryFanoutMessage got;
+  got.partitions = {9, 9, 9, 9};  // stale contents must be replaced
+  ASSERT_TRUE(decode_query_fanout(bytes, got));
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.t_start, want.t_start);
+  EXPECT_EQ(got.t_end, want.t_end);
+  EXPECT_EQ(got.center.lat, want.center.lat);
+  EXPECT_EQ(got.center.lng, want.center.lng);
+  EXPECT_EQ(got.radius_m, want.radius_m);
+  EXPECT_EQ(got.top_n, want.top_n);
+  EXPECT_EQ(got.partitions, want.partitions);
+
+  // Re-encoding into the same (now non-empty) buffer yields the same bytes.
+  std::vector<std::uint8_t> again = bytes;
+  encode_query_fanout(want, again);
+  EXPECT_EQ(again, bytes);
+  // The hand-written layout agrees with the encoder.
+  QueryFanoutMessage hand;
+  ASSERT_TRUE(decode_query_fanout(fanout_with_list({1, 3}, 2, false), hand));
+  EXPECT_EQ(hand.partitions, (std::vector<std::uint32_t>{1, 3}));
+}
+
+TEST(ClusterQueryTest, FanoutRejectsByteFlipsAndTruncation) {
+  std::vector<std::uint8_t> bytes;
+  encode_query_fanout(sample_fanout(), bytes);
+  QueryFanoutMessage m;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    auto bad = bytes;
+    bad[i] ^= 0x40;
+    EXPECT_FALSE(decode_query_fanout(bad, m)) << "flip at byte " << i;
+  }
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(decode_query_fanout(std::span(bytes.data(), len), m))
+        << "truncated to " << len << " bytes";
+  }
+}
+
+TEST(ClusterQueryTest, FanoutDecoderRejectsMalformedPartitionLists) {
+  QueryFanoutMessage m;
+  EXPECT_FALSE(decode_query_fanout(fanout_with_list({}, 0, false), m))
+      << "empty list";
+  EXPECT_FALSE(decode_query_fanout(fanout_with_list({2, 1}, 2, false), m))
+      << "unsorted list";
+  EXPECT_FALSE(decode_query_fanout(fanout_with_list({1, 1}, 2, false), m))
+      << "duplicate id";
+  EXPECT_FALSE(decode_query_fanout(fanout_with_list({0, 1}, 3, false), m))
+      << "list shorter than its count";
+  EXPECT_FALSE(decode_query_fanout(fanout_with_list({0, 1}, 2, true), m))
+      << "trailing byte";
+  EXPECT_FALSE(
+      decode_query_fanout(fanout_with_list({1ull << 32}, 1, false), m))
+      << "id beyond 32 bits";
+}
+
+TEST(ClusterQueryTest, NodeRefusesMalformedLegsByNotReplying) {
+  PartitionConfig pc;
+  pc.bounds = sim::CityModel{}.bounds_deg();
+  pc.partitions = 3;
+  const GeoPartitioner part(pc);
+  net::CloudServer server;
+  for (const auto& m : make_uploads(5)) {
+    ASSERT_TRUE(server.ingest(wire_roundtrip(m)));
+  }
+  // The well-formed leg is answered, so the refusals below are the list's.
+  ASSERT_FALSE(
+      handle_fanout_query(server, part, 0, fanout_with_list({0, 2}, 2, false))
+          .empty());
+  const std::vector<std::vector<std::uint8_t>> refused = {
+      fanout_with_list({}, 0, false),      // empty list
+      fanout_with_list({3}, 1, false),     // id == partition count
+      fanout_with_list({0, 7}, 2, false),  // id beyond the count
+      fanout_with_list({2, 0}, 2, false),  // unsorted
+      fanout_with_list({1, 1}, 2, false),  // duplicate
+      fanout_with_list({0, 1}, 3, false),  // truncated list
+      fanout_with_list({0, 1}, 2, true),   // trailing byte
+  };
+  for (std::size_t i = 0; i < refused.size(); ++i) {
+    EXPECT_TRUE(handle_fanout_query(server, part, 0, refused[i]).empty())
+        << "malformed leg " << i << " was answered";
+  }
 }
 
 }  // namespace
